@@ -120,7 +120,7 @@ class LaurentInZ:
         self.nvars = nvars
         self.order = order
         self.layers = {
-            int(j): s for j, s in (layers or {}).items() if s.coeffs
+            int(j): s for j, s in (layers or {}).items() if s != 0
         }
 
     def layer(self, j):
@@ -347,8 +347,9 @@ def cyclic_identity_checks(n, order):
         m_s[0][0] * z_n + m_s[0][1] == uv * z_n
         and m_s[1][0] * z_n + m_s[1][1] == uv
     )
-    out["iii_roots"] = (u_inv + uv == i_n) and (u_inv * uv == v)
-    out["iv_indep"] = u_inv + uv == i_n
+    indep = u_inv + uv == i_n
+    out["iii_roots"] = indep and (u_inv * uv == v)
+    out["iv_indep"] = indep
     d_inv = sol.d.invert()
     out["v_d_inverse"] = d_inv == u_inv - uv
     out["vi_discriminant"] = d_inv * d_inv == from_poly(delta_poly(n), order)

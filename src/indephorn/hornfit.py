@@ -27,13 +27,13 @@ _PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 class InsufficientDataError(ValueError):
-    """The box supplies fewer equations than twice the unknown count."""
+    """The box is too small for the degree: fewer equations than twice the
+    unknown count, or a degree that reaches the box order."""
 
 
 def check_nonvanishing(lattice):
     """True iff every coefficient in the box is nonzero."""
-    full = (lattice.order + 1) ** lattice.nvars
-    return len(lattice.coeffs) == full and all(lattice.coeffs.values())
+    return bool(np.count_nonzero(lattice.array) == lattice.array.size)
 
 
 def _monomials(nvars, d):
@@ -161,10 +161,7 @@ def _grid_eval(poly, order):
 
 def _verify_fit(lattice, direction, p_poly, q_poly):
     """Exact check of the two-term relation on every applicable box point."""
-    order, nv = lattice.order, lattice.nvars
-    c = np.zeros((order + 1,) * nv, dtype=object)
-    for m, v in lattice.coeffs.items():
-        c[m] = v
+    order, nv, c = lattice.order, lattice.nvars, lattice.array
     ax = direction - 1
     lo = tuple(
         slice(0, order) if j == ax else slice(None) for j in range(nv)
@@ -199,9 +196,16 @@ def fit_ratio(lattice, direction, degree):
     def ratio_pair(m):
         m2 = list(m)
         m2[i - 1] += 1
-        return lattice.coeffs[tuple(m2)], lattice.coeffs[m]
+        return lattice.array[tuple(m2)], lattice.array[m]
 
     for d in range(degree + 1):
+        if d >= order:
+            # Q = prod_{k<order} (m_i - k), P = 0 vanishes on every sample:
+            # from here on the kernel is never empty
+            raise InsufficientDataError(
+                f"degree {d} reaches the box order {order} with no fit at a "
+                "lower degree; enlarge the box"
+            )
         monoms = _monomials(nvars, d)
         ncols = 2 * len(monoms)
         if len(samples) < 2 * ncols:

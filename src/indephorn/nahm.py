@@ -6,9 +6,10 @@ polynomial identities for upper-triangular matrices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .chordal import find_peo, nahm_matrix
 from .poly import MultiPoly, independence_polynomial
@@ -45,20 +46,9 @@ def solve_nahm(a, order):
     """
     n = _check_square(a)
     one = TruncatedSeries.one(n, order)
-    xs = [
-        TruncatedSeries(n, order, {tuple(1 if k == i else 0 for k in range(n)): 1})
-        for i in range(n)
-    ]
     z = [one for _ in range(n)]
     for _ in range(n * order + 1):
-        new = []
-        for i in range(n):
-            prod = xs[i]
-            for j in range(n):
-                e = a[i][j]
-                if e:
-                    prod = prod * (z[j] ** e)
-            new.append(one - prod)
+        new = [one - _nahm_term(a, z, i) for i in range(n)]
         if new == z:
             break
         z = new
@@ -70,22 +60,37 @@ def solve_nahm(a, order):
     )
 
 
+def _nahm_term(a, z, i):
+    """x_i prod_j z_j^{a_{i,j}} for the series z_1..z_n."""
+    n, order = len(a), z[0].order
+    prod = TruncatedSeries(n, order, {tuple(int(k == i) for k in range(n)): 1})
+    for j in range(n):
+        if a[i][j]:
+            prod = prod * (z[j] ** a[i][j])
+    return prod
+
+
 def residuals(sol):
     """1 - z_i - x_i prod z_j^{a_{i,j}} for each i; all zero for a solution."""
-    a = sol.matrix
+    one = TruncatedSeries.one(len(sol.matrix), sol.order)
+    return [
+        one - sol.z[i] - _nahm_term(sol.matrix, sol.z, i)
+        for i in range(len(sol.matrix))
+    ]
+
+
+def _binomial_lattice(a, shift, order):
+    """sum_m (-1)^{|m|} prod_j binom(shift_j + a_j(m), m_j) x^m on the box."""
     n = len(a)
-    one = TruncatedSeries.one(n, sol.order)
-    out = []
-    for i in range(n):
-        prod = TruncatedSeries(
-            n, sol.order, {tuple(1 if k == i else 0 for k in range(n)): 1}
-        )
+    out = np.zeros((order + 1,) * n, dtype=object)
+    for m in box_cells(n, order):
+        c = Fraction(1)
         for j in range(n):
-            e = a[i][j]
-            if e:
-                prod = prod * (sol.z[j] ** e)
-        out.append(one - sol.z[i] - prod)
-    return out
+            c *= binomial(shift[j] + column_form(a, j, m), m[j])
+            if not c:
+                break
+        out[m] = -c if sum(m) % 2 else c
+    return TruncatedSeries._of(n, order, out)
 
 
 def d_series_binomial(a, order):
@@ -94,16 +99,7 @@ def d_series_binomial(a, order):
     The column linear forms use a_j(m) = sum_i a_{i,j} m_i.
     """
     n = _check_square(a)
-    coeffs = {}
-    for m in box_cells(n, order):
-        c = Fraction(1)
-        for j in range(n):
-            c *= binomial(column_form(a, j, m), m[j])
-            if not c:
-                break
-        if c:
-            coeffs[m] = -c if sum(m) % 2 else c
-    return TruncatedSeries(n, order, coeffs)
+    return _binomial_lattice(a, (0,) * n, order)
 
 
 def _det_series(mat):
@@ -160,17 +156,7 @@ def lagrange_monomial(sol, s, order=None):
     if len(s) != n:
         raise ValueError("wrong number of exponents")
     order = sol.order if order is None else order
-    coeffs = {}
-    for m in box_cells(n, order):
-        c = Fraction(1)
-        for j in range(n):
-            c *= binomial(s[j] + column_form(a, j, m), m[j])
-            if not c:
-                break
-        if c:
-            coeffs[m] = -c if sum(m) % 2 else c
-    numer = TruncatedSeries(n, order, coeffs)
-    return numer * sol.d.invert()
+    return _binomial_lattice(a, s, order) * sol.d.invert()
 
 
 def _is_unit_upper_triangular(a):
@@ -195,15 +181,11 @@ def check_d_recursion(a, order):
     d_star = d_series_binomial(a_star, order)
     # substitute x_i -> x_i/(1+x_n)^{a_{i,n}}; the n-th variable enters only
     # through the binomial expansions of (1+x_n)^{-k}, exact on the box
-    coeffs = {}
+    rhs = np.zeros((order + 1,) * n, dtype=object)
     for m_star, c in d_star.coeffs.items():
         k = sum(a[i][n - 1] * m_star[i] for i in range(n - 1)) + 1  # +1: 1/(1+x_n)
-        for e in range(order + 1):
-            coeffs_key = m_star + (e,)
-            coeffs.setdefault(coeffs_key, Fraction(0))
-            coeffs[coeffs_key] += c * binomial(-k, e)
-    rhs = TruncatedSeries(n, order, coeffs)
-    return d == rhs
+        rhs[m_star] = [c * binomial(-k, e) for e in range(order + 1)]
+    return d == TruncatedSeries._of(n, order, rhs)
 
 
 def peo_relabeled(g):
@@ -236,21 +218,10 @@ def chordal_power_formula(g, s, order):
     res = find_peo(g)
     if not res.is_chordal:
         raise ValueError("graph is not chordal")
-    # the closed form needs a PEO labeling; compute there and permute back
-    ordering = res.ordering
+    # the closed form needs a PEO labeling; compute there and permute back:
+    # axis v-1 of the result is the axis of v's position in the ordering
+    ordering = list(res.ordering)
     a = nahm_matrix(relabel(g, ordering))
-    s = Fraction(s)
-    n = g.n
-    coeffs = {}
-    for m in box_cells(n, order):
-        c = Fraction(1)
-        for j in range(n):
-            c *= binomial(s - 1 + column_form(a, j, m), m[j])
-            if not c:
-                break
-        if c:
-            orig = [0] * n
-            for pos, v in enumerate(ordering):
-                orig[v - 1] = m[pos]
-            coeffs[tuple(orig)] = -c if sum(m) % 2 else c
-    return TruncatedSeries(n, order, coeffs)
+    lattice = _binomial_lattice(a, [Fraction(s) - 1] * g.n, order)
+    axes = [ordering.index(v) for v in range(1, g.n + 1)]
+    return TruncatedSeries._of(g.n, order, lattice.array.transpose(axes))

@@ -15,7 +15,9 @@ def _commute(g, a, b):
 
 
 def foata_normal_form(g, word):
-    """Greedy lexicographically-minimal representative of the trace class.
+    """Lexicographically least representative of the trace class: the
+    Anisimov-Knuth normal form, not the Foata (step) normal form, despite
+    the name.
 
     Repeatedly moves to the front the smallest letter that can be commuted
     there (i.e. commutes with everything before it in the remainder).

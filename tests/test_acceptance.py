@@ -44,7 +44,7 @@ from indephorn.poly import (
     homogenize,
     independence_polynomial,
 )
-from indephorn.series import box_cells, invert, mul, pow_neg_s, sqrt_inv
+from indephorn.series import box_cells, invert, pow_neg_s, sqrt_inv
 from indephorn.tracemonoid import count_traces
 
 
@@ -149,9 +149,9 @@ def test_ac06_two_variable_example():
 
     sol = solve_nahm(((0, 1), (1, 0)), 6)
     geo = invert(MultiPoly(2, {(0, 0): Fraction(1), (1, 1): Fraction(-1)}), 6)
-    z1 = mul(
-        from_poly(MultiPoly(2, {(0, 0): Fraction(1), (1, 0): Fraction(-1)}), 6),
-        geo,
+    z1 = (
+        from_poly(MultiPoly(2, {(0, 0): Fraction(1), (1, 0): Fraction(-1)}), 6)
+        * geo
     )
     ok = sol.d.coeffs == geo.coeffs and sol.z[0].coeffs == z1.coeffs
     report(6, "swap-matrix Nahm system gives D = 1/(1-x1x2) and the stated z1", ok)
@@ -176,7 +176,7 @@ def test_ac07_nahm_identity_suite():
         ok = ok and d_bin.coeffs == d_series_det(sol).coeffs
         prod = from_poly(MultiPoly.one(g.n), 3)
         for z in sol.z:
-            prod = mul(prod, z)
+            prod = prod * z
         ok = ok and d_bin.coeffs == prod.coeffs
         ok = ok and check_d_recursion(a, 3)
     report(7, "D-series identities (binomial = det = product, recursion) for the PEO matrices", ok)
@@ -197,7 +197,7 @@ def test_ac08_cycle_suite():
             == invert(cycle_indep_poly(n), 3).unsigned().coeffs
         )
         d = sqrt_inv(delta_poly(n), 3)
-        ok = ok and mul(d, d).coeffs == invert(delta_poly(n), 3).coeffs
+        ok = ok and (d * d).coeffs == invert(delta_poly(n), 3).coeffs
         ok = ok and check_r_rational(n, 3)
         ok = ok and all(cyclic_identity_checks(n, 3).values())
     report(8, "cycle-graph suite (transfer matrix, Carlitz, R series, props i-vii) for n = 3,4,5", ok)

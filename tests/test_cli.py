@@ -70,6 +70,27 @@ def test_expand_method_gating(capsys):
     assert code == 2 and "not applicable" in err
 
 
+def test_expand_method_computes_only_that_method(monkeypatch, capsys):
+    from indephorn import nahm, tracemonoid
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("route not requested")
+
+    monkeypatch.setattr(tracemonoid, "count_traces", unreachable)
+    monkeypatch.setattr(nahm, "chordal_power_formula", unreachable)
+    code, out, _ = run(
+        capsys, "expand", "--path", "3", "--order", "2", "--method", "direct"
+    )
+    assert code == 0 and out.startswith("0 0 0 : 1")
+
+
+def test_horn_check_degree_at_box_order(capsys):
+    code, _, err = run(
+        capsys, "horn-check", "--cycle", "4", "--order", "4", "--degree", "4"
+    )
+    assert code == 2 and err.startswith("error: degree 4 reaches the box order")
+
+
 def test_expand_half_power(capsys):
     code, out, _ = run(
         capsys,

@@ -129,3 +129,11 @@ def test_every_returned_fit_verifies():
             assert lattice.coefficient(tuple(m2)) * qv == lattice.coefficient(
                 m
             ) * fit.p.evaluate(m)
+
+
+@pytest.mark.parametrize("order, degree", [(4, 4), (3, 3)])
+def test_degree_at_box_order_is_insufficient_data(order, degree):
+    # at d >= N, Q = prod_{k<N} (m_i - k) with P = 0 vanishes on every
+    # sample, so no failure there could be certified
+    with pytest.raises(InsufficientDataError):
+        horn_check_graph(make_cycle(4), order, degree)

@@ -19,7 +19,7 @@ from indephorn.nahm import (
     solve_nahm,
 )
 from indephorn.poly import MultiPoly, independence_polynomial
-from indephorn.series import box_cells, from_poly, invert, mul, pow_neg_s
+from indephorn.series import box_cells, from_poly, invert, pow_neg_s
 
 SWAP = ((0, 1), (1, 0))
 
@@ -36,7 +36,7 @@ def geometric_x1x2(order):
 def test_swap_system_z1():
     sol = solve_nahm(SWAP, 4)
     one_minus_x1 = MultiPoly(2, {(0, 0): Fraction(1), (1, 0): Fraction(-1)})
-    expected = mul(from_poly(one_minus_x1, 4), geometric_x1x2(4))
+    expected = from_poly(one_minus_x1, 4) * geometric_x1x2(4)
     assert sol.z[0].coeffs == expected.coeffs
 
 
@@ -120,7 +120,7 @@ def test_lagrange_general_exponents():
         for i, e in enumerate(s):
             factor = sol.z[i] if e > 0 else sol.z[i].invert()
             for _ in range(abs(e)):
-                direct = mul(direct, factor)
+                direct = direct * factor
         assert lagrange_monomial(sol, s).coeffs == direct.coeffs
 
 

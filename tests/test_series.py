@@ -1,5 +1,6 @@
 """Truncated multivariate series: inversion, rational powers, square roots."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from indephorn.series import (
     box_cells,
     from_poly,
     invert,
-    mul,
     pow_neg_s,
     sqrt_inv,
 )
@@ -39,24 +39,24 @@ def test_from_poly_zero():
 
 def test_mul_geometric_inverse():
     geo = TruncatedSeries(1, 4, {(k,): Fraction(-1) ** k for k in range(5)})
-    prod = mul(from_poly(one_plus_x1(), 4), geo)
+    prod = from_poly(one_plus_x1(), 4) * geo
     assert prod.coeffs == {(0,): 1}
 
 
 def test_mul_identity():
     a = invert(independence_polynomial(make_path(3)), 2)
     one = from_poly(MultiPoly.one(3), 2)
-    assert mul(a, one).coeffs == a.coeffs
+    assert (a * one).coeffs == a.coeffs
 
 
 def test_mul_shape_mismatch():
     with pytest.raises(ValueError):
-        mul(from_poly(MultiPoly.one(1), 2), from_poly(MultiPoly.one(2), 2))
+        from_poly(MultiPoly.one(1), 2) * from_poly(MultiPoly.one(2), 2)
 
 
 def test_invert_k2_against_inverse():
     p = independence_polynomial(make_complete(2))
-    assert mul(from_poly(p, 2), invert(p, 2)).coeffs == {(0, 0): 1}
+    assert (from_poly(p, 2) * invert(p, 2)).coeffs == {(0, 0): 1}
 
 
 def test_invert_k2_multinomials():
@@ -163,14 +163,14 @@ def unit_polys(nvars, max_order=3):
 @given(unit_polys(2))
 def test_mul_invert_is_one(p):
     n = 4
-    assert mul(from_poly(p, n), invert(p, n)).coeffs == {(0, 0): 1}
+    assert (from_poly(p, n) * invert(p, n)).coeffs == {(0, 0): 1}
 
 
 @settings(max_examples=25)
 @given(unit_polys(2))
 def test_pow_s2_is_squared_inverse(p):
     inv = invert(p, 3)
-    assert pow_neg_s(p, 2, 3).coeffs == mul(inv, inv).coeffs
+    assert pow_neg_s(p, 2, 3).coeffs == (inv * inv).coeffs
 
 
 @settings(max_examples=25)
@@ -178,7 +178,7 @@ def test_pow_s2_is_squared_inverse(p):
 def test_pow_additivity(p):
     s1, s2 = Fraction(1, 2), Fraction(3, 2)
     lhs = pow_neg_s(p, s1 + s2, 3)
-    rhs = mul(pow_neg_s(p, s1, 3), pow_neg_s(p, s2, 3))
+    rhs = pow_neg_s(p, s1, 3) * pow_neg_s(p, s2, 3)
     assert lhs.coeffs == rhs.coeffs
 
 
@@ -191,7 +191,7 @@ def pow_neg_s_binomial_oracle(p, s, order):
     coeff = Fraction(1)
     for k in range(1, nvars * order + 1):
         coeff = coeff * (-s - (k - 1)) / k
-        acc = mul(acc, u)
+        acc = acc * u
         if not acc.coeffs:
             break
         out = out + TruncatedSeries(
@@ -229,3 +229,123 @@ def test_json_roundtrip():
     inv = invert(independence_polynomial(make_cycle(4)), 2)
     again = TruncatedSeries.from_json(inv.to_json())
     assert again.coeffs == inv.coeffs and again.order == inv.order
+
+
+# --- reference implementations on {exponent: Fraction} dicts ---------------
+# The dict/Fraction routes the dense lattice replaced: the box product, the
+# back-substitution inverse and the rational-power recurrence.
+
+
+def oracle_cells(nvars, order):
+    return sorted(
+        itertools.product(range(order + 1), repeat=nvars),
+        key=lambda m: (sum(m), m),
+    )
+
+
+def oracle_mul(a, b, order):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if max(m, default=0) <= order:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_invert(p, nvars, order):
+    inv0 = 1 / p[(0,) * nvars]
+    supp = [(m, c) for m, c in p.items() if any(m)]
+    q = {(0,) * nvars: inv0}
+    for m in oracle_cells(nvars, order)[1:]:
+        s = Fraction(0)
+        for t, c in supp:
+            r = tuple(a - b for a, b in zip(m, t))
+            if min(r) >= 0 and r in q:
+                s += c * q[r]
+        if s:
+            q[m] = -inv0 * s
+    return q
+
+
+def oracle_pow(p, s, nvars, order):
+    supp = [(m, c) for m, c in p.items() if any(m)]
+    q = {(0,) * nvars: Fraction(1)}
+    for m in oracle_cells(nvars, order)[1:]:
+        i = next(k for k, e in enumerate(m) if e > 0)
+        acc = Fraction(0)
+        for t, c in supp:
+            r = tuple(a - b for a, b in zip(m, t))
+            if min(r) >= 0 and r in q:
+                acc += c * (m[i] - t[i] - s * t[i]) * q[r]
+        if acc:
+            q[m] = -acc / m[i]
+    return q
+
+
+@st.composite
+def unit_series(draw, count=1):
+    """(nvars, order, [{m: c}, ...]): `count` coefficient dicts with constant
+    term 1 on one box in 1-3 variables."""
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 4 if nvars < 3 else 2))
+    out = []
+    for _ in range(count):
+        coeffs = draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, order)] * nvars),
+                st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                max_size=5,
+            )
+        )
+        coeffs[(0,) * nvars] = Fraction(1)
+        out.append({m: c for m, c in coeffs.items() if c})
+    return nvars, order, out
+
+
+RATIONAL_S = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-3, 2)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=60)
+@given(unit_series(), RATIONAL_S)
+def test_pow_rational_matches_oracle(data, s):
+    nvars, order, (p,) = data
+    got = TruncatedSeries(nvars, order, p).pow_rational(s)
+    assert got.coeffs == oracle_pow(p, s, nvars, order)
+
+
+@settings(max_examples=60)
+@given(unit_series(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(-2, 7)]))
+def test_invert_matches_oracle(data, c0):
+    nvars, order, (p,) = data
+    p = {**p, (0,) * nvars: c0}
+    got = TruncatedSeries(nvars, order, p).invert()
+    assert got.coeffs == oracle_invert(p, nvars, order)
+
+
+@settings(max_examples=60)
+@given(unit_series(count=2))
+def test_product_matches_oracle(data):
+    nvars, order, (p, q) = data
+    got = TruncatedSeries(nvars, order, p) * TruncatedSeries(nvars, order, q)
+    assert got.coeffs == oracle_mul(p, q, order)
+
+
+def test_invert_non_unit_constant():
+    p = TruncatedSeries(2, 3, {(0, 0): Fraction(3, 2), (1, 0): 1, (1, 1): -2})
+    assert p.invert().coeffs == oracle_invert(p.coeffs, 2, 3)
+    assert (p * p.invert()).coeffs == {(0, 0): 1}
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, 2, {(1,): 0.5})
+
+
+def test_exponent_length_mismatch_and_out_of_box():
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, 2, {(1,): 1})
+    assert TruncatedSeries(1, 2, {(3,): 1, (1,): 2}).coeffs == {(1,): 2}
