@@ -72,6 +72,13 @@ def _parse_rational(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _nonneg_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {value}")
+    return value
+
+
 def _print_series(ts, as_json, signed=True):
     if as_json:
         print(ts.to_json(signed=signed))
@@ -436,7 +443,7 @@ def build_parser():
     p = sub.add_parser("expand", help="expand I^(-s) as a power series")
     _add_graph_args(p)
     p.add_argument("--s", type=_parse_rational, default=Fraction(1))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonneg_int, required=True)
     p.add_argument(
         "--method",
         choices=EXPAND_METHODS,
@@ -448,8 +455,8 @@ def build_parser():
 
     p = sub.add_parser("horn-check", help="bounded-degree Horn fit")
     _add_graph_args(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--order", type=_nonneg_int, required=True)
+    p.add_argument("--degree", type=_nonneg_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_horn_check)
 
@@ -457,7 +464,7 @@ def build_parser():
     nsub = p.add_subparsers(dest="nahm_command", required=True)
     ps = nsub.add_parser("solve", help="solve the system for a matrix file")
     ps.add_argument("--matrix", required=True)
-    ps.add_argument("--order", type=int, required=True)
+    ps.add_argument("--order", type=_nonneg_int, required=True)
     ps.set_defaults(func=cmd_nahm_solve)
 
     p = sub.add_parser("traces", help="count trace-monoid classes")
@@ -469,12 +476,12 @@ def build_parser():
     csub = p.add_subparsers(dest="cycle_command", required=True)
     pc = csub.add_parser("coeffs", help="unsigned coefficients of 1/I_n")
     pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--order", type=int, required=True)
+    pc.add_argument("--order", type=_nonneg_int, required=True)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_cycle_coeffs)
     pc = csub.add_parser("carlitz", help="Carlitz binomial-product lattice")
     pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--order", type=int, required=True)
+    pc.add_argument("--order", type=_nonneg_int, required=True)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_cycle_carlitz)
     pc = csub.add_parser("debruijn", help="de Bruijn number S(n,k)")
@@ -487,7 +494,7 @@ def build_parser():
     pc.set_defaults(func=cmd_cycle_dixon)
     pc = csub.add_parser("verify-all", help="all cyclic identity checks")
     pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--order", type=int, required=True)
+    pc.add_argument("--order", type=_nonneg_int, required=True)
     pc.set_defaults(func=cmd_cycle_verify_all)
 
     p = sub.add_parser(

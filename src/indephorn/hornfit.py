@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def _monomials(nvars, d):
 
 def _rational_reconstruct(a, p):
     """Lift a (mod p) to a fraction num/den with |num|, den <= sqrt(p/2)."""
-    bound = int((p // 2) ** 0.5)
+    bound = isqrt(p // 2)
     r0, r1 = p, a % p
     t0, t1 = 0, 1
     while r1 > bound:
@@ -184,6 +184,8 @@ def fit_ratio(lattice, direction, degree):
     """
     nvars, order = lattice.nvars, lattice.order
     i = direction
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     if not check_nonvanishing(lattice):
         raise ValueError("fit_ratio requires a nonvanishing lattice")
     samples = [

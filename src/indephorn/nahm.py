@@ -1,7 +1,7 @@
 """Nahm systems 1 - z_i = x_i prod_j z_j^{a_{i,j}} for integer matrices:
-formal series solutions, the D series by three independent routes, the
-Lagrange-inversion monomial formula, and the recursion / independence
-polynomial identities for upper-triangular matrices.
+formal series solutions in closed form by Lagrange-Good inversion, checked by
+substitution, the D series by three independent routes, and the recursion /
+independence polynomial identities for upper-triangular matrices.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .chordal import find_peo, nahm_matrix
-from .poly import MultiPoly, independence_polynomial
-from .series import TruncatedSeries, binomial, box_cells, from_poly, invert
+from .poly import independence_polynomial
+from .series import TruncatedSeries, binomial, box_cells, invert
 
 
 def _check_square(a):
@@ -37,46 +37,36 @@ class NahmSolution:
 
 
 def solve_nahm(a, order):
-    """Series solution of the Nahm system of matrix `a` on the given box.
-
-    Fixed-point iteration z_i <- 1 - x_i prod_j z_j^{a_{i,j}}; every pass
-    stabilizes at least one more total degree, so n*order+1 passes suffice
-    (with early exit on a fixed point).  Negative exponents go through
-    series inversion (constant term 1 keeps that well defined).
-    """
+    """Series solution of the Nahm system of matrix `a` on the given box:
+    z_i = z^{e_i} by the Lagrange formula of `lagrange_monomial`, so one
+    inversion of D and n products, with no iteration."""
     n = _check_square(a)
-    one = TruncatedSeries.one(n, order)
-    z = [one for _ in range(n)]
-    for _ in range(n * order + 1):
-        new = [one - _nahm_term(a, z, i) for i in range(n)]
-        if new == z:
-            break
-        z = new
-    return NahmSolution(
-        matrix=tuple(tuple(row) for row in a),
-        order=order,
-        z=tuple(z),
-        d=d_series_binomial(a, order),
-    )
+    d = d_series_binomial(a, order)
+    d_inv = d.invert()
+    z = tuple(_lagrange(a, _unit(n, i), d_inv) for i in range(n))
+    return NahmSolution(tuple(tuple(row) for row in a), order, z, d)
 
 
-def _nahm_term(a, z, i):
-    """x_i prod_j z_j^{a_{i,j}} for the series z_1..z_n."""
-    n, order = len(a), z[0].order
-    prod = TruncatedSeries(n, order, {tuple(int(k == i) for k in range(n)): 1})
-    for j in range(n):
-        if a[i][j]:
-            prod = prod * (z[j] ** a[i][j])
-    return prod
+def _unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+def _lagrange(a, s, d_inv):
+    """z^s = (1/D) sum_m (-1)^{|m|} prod_j binom(s_j + a_j(m), m_j) x^m."""
+    return _binomial_lattice(a, s, d_inv.order) * d_inv
 
 
 def residuals(sol):
-    """1 - z_i - x_i prod z_j^{a_{i,j}} for each i; all zero for a solution."""
-    one = TruncatedSeries.one(len(sol.matrix), sol.order)
-    return [
-        one - sol.z[i] - _nahm_term(sol.matrix, sol.z, i)
-        for i in range(len(sol.matrix))
-    ]
+    """1 - z_i - x_i prod_j z_j^{a_{i,j}} for each i; all zero for a solution."""
+    n, order = len(sol.matrix), sol.order
+    out = []
+    for i, row in enumerate(sol.matrix):
+        term = TruncatedSeries(n, order, {_unit(n, i): 1})
+        for zj, aij in zip(sol.z, row):
+            if aij:
+                term = term * (zj ** aij)
+        out.append(1 - sol.z[i] - term)
+    return out
 
 
 def _binomial_lattice(a, shift, order):
@@ -148,15 +138,12 @@ def d_series_det(sol):
     return _det_series(mat).invert()
 
 
-def lagrange_monomial(sol, s, order=None):
+def lagrange_monomial(sol, s):
     """z_1^{s_1}...z_n^{s_n} by Lagrange inversion:
     (1/D) sum_m (-1)^{|m|} prod_j binom(s_j + a_j(m), m_j) x^m."""
-    a = sol.matrix
-    n = len(a)
-    if len(s) != n:
+    if len(s) != len(sol.matrix):
         raise ValueError("wrong number of exponents")
-    order = sol.order if order is None else order
-    return _binomial_lattice(a, s, order) * sol.d.invert()
+    return _lagrange(sol.matrix, s, sol.d.invert())
 
 
 def _is_unit_upper_triangular(a):

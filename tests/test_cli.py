@@ -172,3 +172,19 @@ def test_graph_source_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["indep"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--cycle", "4", "--order", "-1"],
+        ["horn-check", "--path", "3", "--order", "3", "--degree", "-1"],
+        ["nahm", "solve", "--matrix", "m.txt", "--order", "-1"],
+        ["cycle", "coeffs", "--n", "3", "--order", "-1"],
+    ],
+)
+def test_negative_order_or_degree_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be non-negative: -1" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Bounded-degree Horn fitting: positive fits, failure certificates, errors."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from indephorn.hornfit import (
     DirectionFailure,
     DirectionFit,
     InsufficientDataError,
+    _PRIMES,
+    _rational_reconstruct,
     check_nonvanishing,
     fit_ratio,
     horn_check,
@@ -137,3 +140,16 @@ def test_degree_at_box_order_is_insufficient_data(order, degree):
     # sample, so no failure there could be certified
     with pytest.raises(InsufficientDataError):
         horn_check_graph(make_cycle(4), order, degree)
+
+
+def test_negative_degree_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        fit_ratio(inverse_lattice(make_path(2), 3), 1, -1)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_rational_reconstruct_at_the_bound(p):
+    bound = math.isqrt(p // 2)
+    for frac in (Fraction(bound, bound - 1), Fraction(-(bound - 1), bound)):
+        a = frac.numerator * pow(frac.denominator, -1, p) % p
+        assert _rational_reconstruct(a, p) == frac

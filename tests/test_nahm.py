@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indephorn.chordal import nahm_matrix
 from indephorn.graph import Graph, make_complete, make_cycle, make_path
@@ -19,7 +20,13 @@ from indephorn.nahm import (
     solve_nahm,
 )
 from indephorn.poly import MultiPoly, independence_polynomial
-from indephorn.series import box_cells, from_poly, invert, pow_neg_s
+from indephorn.series import (
+    TruncatedSeries,
+    box_cells,
+    from_poly,
+    invert,
+    pow_neg_s,
+)
 
 SWAP = ((0, 1), (1, 0))
 
@@ -57,6 +64,54 @@ def test_residuals_vanish():
     for a in (SWAP, ((1, 1), (0, 1)), ((2, -1), (1, 1))):
         for r in residuals(solve_nahm(a, 3)):
             assert r.coeffs == {}
+
+
+def fixed_point_oracle(a, order):
+    """Reference route: z_i <- 1 - x_i prod_j z_j^{a_{i,j}} from z = 1; each
+    pass fixes at least one more total degree, so n*order+1 passes suffice."""
+    n = len(a)
+    one = TruncatedSeries.one(n, order)
+
+    def term(z, i):
+        prod = TruncatedSeries(n, order, {tuple(int(k == i) for k in range(n)): 1})
+        for j in range(n):
+            if a[i][j]:
+                prod = prod * (z[j] ** a[i][j])
+        return prod
+
+    z = [one for _ in range(n)]
+    for _ in range(n * order + 1):
+        new = [one - term(z, i) for i in range(n)]
+        if new == z:
+            break
+        z = new
+    return z
+
+
+@st.composite
+def nahm_systems(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 3 if n < 3 else 2))
+    row = st.tuples(*[st.integers(-2, 3)] * n)
+    return draw(st.tuples(*[row] * n)), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(nahm_systems())
+def test_solve_matches_fixed_point_oracle(system):
+    a, order = system
+    sol = solve_nahm(a, order)
+    assert [z.coeffs for z in sol.z] == [z.coeffs for z in fixed_point_oracle(a, order)]
+    assert all(r.coeffs == {} for r in residuals(sol))
+
+
+def test_solve_matches_fixed_point_oracle_cyclic_c4():
+    from indephorn.cycletools import cyclic_matrix
+
+    a = cyclic_matrix(4)
+    sol = solve_nahm(a, 2)
+    assert [z.coeffs for z in sol.z] == [z.coeffs for z in fixed_point_oracle(a, 2)]
+    assert all(r.coeffs == {} for r in residuals(sol))
 
 
 def test_non_square_rejected():
@@ -191,3 +246,8 @@ def test_chordal_power_nonvanishing():
         ts = chordal_power_formula(make_path(3), s, 2)
         for m in box_cells(3, 2):
             assert ts.coefficient(m) != 0
+
+
+def test_lagrange_takes_the_solution_order():
+    with pytest.raises(TypeError):
+        lagrange_monomial(solve_nahm(SWAP, 3), (1, 0), 5)
