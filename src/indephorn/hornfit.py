@@ -1,12 +1,15 @@
 """Bounded-degree Horn-hypergeometricity checks for a coefficient lattice.
 
 For each shift direction i the fitter looks for polynomials P, Q of total
-degree <= d with  c_{m+e_i} * Q(m) = c_m * P(m)  on the whole box.  Kernel
-candidates are found modulo a large prime (numpy elimination), lifted by
-rational reconstruction, and then verified EXACTLY over every applicable
-lattice point before a fit is ever reported.  A failure verdict is sound:
-an empty kernel modulo p for a subset of the equations already implies the
-exact system has no nontrivial solution.
+degree <= d with  c_{m+e_i} * Q(m) = c_m * P(m)  on the whole box.  The lattice
+is first cleared to Python ints by one lcm.  Kernel candidates are found
+modulo a large prime (numpy elimination), lifted by rational
+reconstruction, and then verified EXACTLY, over the integers, at every
+applicable lattice point before a fit is ever reported.  Only an empty
+kernel modulo p is a certificate: it holds for a subset of the equations,
+so the exact system has no nontrivial solution either.  A failure whose
+evidence is "kernel candidates failed exact verification" is uncertified:
+the kernel was not empty, but no lifted candidate verified.
 
 A failure at (N, d) is bounded-degree evidence of non-Hornness, not a
 proof; callers (and the CLI) report it as such.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -128,7 +131,10 @@ class HornFitReport:
 
     def verdict(self):
         if not self.nonvanishing:
-            return f"not Horn: vanishing coefficient in the box (N={self.order})"
+            return (
+                f"vanishing coefficient in the box (N={self.order}): "
+                "the ratio fit does not apply"
+            )
         if self.all_fit:
             return f"Horn up to (N={self.order}, d={self.degree})"
         bad = [r.direction for r in self.results if isinstance(r, DirectionFailure)]
@@ -142,38 +148,64 @@ def _poly_from_coeffs(monoms, coeffs):
     return MultiPoly(len(monoms[0]), dict(zip(monoms, coeffs)))
 
 
-def _grid_eval(poly, order):
-    """Evaluate `poly` at every point of {0..order}^nvars (object array)."""
-    nv = poly.nvars
-    shape = (order + 1,) * nv
-    pts = np.arange(order + 1, dtype=object)
+def _integer_lattice(array):
+    """The cells times the lcm of their denominators, as Python ints; the
+    shift ratios c_{m+e_i}/c_m are unchanged."""
+    flat = array.ravel().tolist()
+    den = lcm(*(c.denominator for c in flat))
+    ints = [c.numerator * (den // c.denominator) for c in flat]
+    return np.array(ints, dtype=object).reshape(array.shape)
+
+
+def _grid_eval(terms, shape):
+    """Evaluate the integer polynomial {exponent: int} at every point of the
+    grid prod_j {0..shape[j]-1}, as an object array of Python ints."""
+    nv = len(shape)
     out = np.zeros(shape, dtype=object)
-    for m, c in poly.terms.items():
-        val = np.full(shape, c, dtype=object)
+    for m, c in terms.items():
+        val = c
         for j, e in enumerate(m):
             if e:
                 axis = [1] * nv
-                axis[j] = order + 1
-                val = val * (pts**e).reshape(axis)
+                axis[j] = shape[j]
+                val = val * (np.arange(shape[j], dtype=object) ** e).reshape(axis)
         out = out + val
     return out
 
 
-def _verify_fit(lattice, direction, p_poly, q_poly):
-    """Exact check of the two-term relation on every applicable box point."""
-    order, nv, c = lattice.order, lattice.nvars, lattice.array
+def _verify_fit(cells, direction, p_poly, q_poly):
+    """Exact check of c_{m+e_i} Q(m) == c_m P(m) on every applicable box
+    point of the integer lattice `cells`, with Q nonzero at each of them."""
+    nv = cells.ndim
     ax = direction - 1
-    lo = tuple(
-        slice(0, order) if j == ax else slice(None) for j in range(nv)
+    lo = tuple(slice(0, -1) if j == ax else slice(None) for j in range(nv))
+    hi = tuple(slice(1, None) if j == ax else slice(None) for j in range(nv))
+    coeffs = [*p_poly.terms.values(), *q_poly.terms.values()]
+    den = lcm(*(c.denominator for c in coeffs))
+    p_int, q_int = (
+        {m: int(c * den) for m, c in poly.terms.items()} for poly in (p_poly, q_poly)
     )
-    hi = tuple(
-        slice(1, order + 1) if j == ax else slice(None) for j in range(nv)
-    )
-    qv = _grid_eval(q_poly, order)[lo]
+    shape = cells[lo].shape
+    qv = _grid_eval(q_int, shape)
     if np.any(qv == 0):
         return False
-    pv = _grid_eval(p_poly, order)[lo]
-    return bool(np.all(c[hi] * qv == c[lo] * pv))
+    pv = _grid_eval(p_int, shape)
+    return bool(np.all(cells[hi] * qv == cells[lo] * pv))
+
+
+def _equations(cells, direction, points, monoms):
+    """Rows of c_{m+e_i} Q(m) - c_m P(m) = 0 in the coefficients of (Q, P),
+    one per point m, as an object array of Python ints."""
+    idx = np.array(points, dtype=np.int64).reshape(len(points), cells.ndim)
+    up = idx.copy()
+    up[:, direction - 1] += 1
+    c_hi, c_lo = cells[tuple(up.T)], cells[tuple(idx.T)]
+    pts = idx.astype(object)
+    exps = np.array(monoms, dtype=object).reshape(len(monoms), cells.ndim)
+    vals = (pts[:, None, :] ** exps[None, :, :]).prod(2)
+    return np.concatenate(
+        [c_hi[:, None] * vals, -c_lo[:, None] * vals], axis=1
+    )
 
 
 def fit_ratio(lattice, direction, degree):
@@ -194,11 +226,7 @@ def fit_ratio(lattice, direction, degree):
         if m[i - 1] < order
     ]
     samples.sort(key=lambda m: (sum(m), m))
-
-    def ratio_pair(m):
-        m2 = list(m)
-        m2[i - 1] += 1
-        return lattice.array[tuple(m2)], lattice.array[m]
+    cells = _integer_lattice(lattice.array)
 
     for d in range(degree + 1):
         if d >= order:
@@ -221,27 +249,10 @@ def fit_ratio(lattice, direction, degree):
         if len(samples) > 4 * ncols:
             step = len(samples) / (4 * ncols)
             use = [samples[int(k * step)] for k in range(4 * ncols)]
+        equations = _equations(cells, i, use, monoms)
         evidence = None
         for p in _PRIMES:
-            rows = []
-            for m in use:
-                cn, cd = ratio_pair(m)
-                # clear denominators once per equation
-                den = (cn.denominator * cd.denominator) // gcd(
-                    cn.denominator, cd.denominator
-                )
-                cn_i = int(cn * den) % p
-                cd_i = int(cd * den) % p
-                mono_vals = [1] * len(monoms)
-                for k, mm in enumerate(monoms):
-                    v = 1
-                    for x, e in zip(m, mm):
-                        v = v * pow(x, e, p) % p
-                    mono_vals[k] = v
-                rows.append(
-                    [cn_i * v % p for v in mono_vals]
-                    + [(-cd_i * v) % p for v in mono_vals]
-                )
+            rows = (equations % p).astype(np.int64)
             basis = _kernel_mod_p(rows, p)
             if not basis:
                 evidence = (
@@ -264,11 +275,12 @@ def fit_ratio(lattice, direction, degree):
                 p_poly = _poly_from_coeffs(monoms, lifted[len(monoms):])
                 if q_poly.is_zero():
                     continue
-                if _verify_fit(lattice, i, p_poly, q_poly):
+                if _verify_fit(cells, i, p_poly, q_poly):
                     return DirectionFit(i, p_poly, q_poly, d)
             # candidates failed exact verification: densify the equations
             if use is not samples:
                 use = samples
+                equations = _equations(cells, i, use, monoms)
                 continue
         # no verified fit at this degree; move on (failure only binds at
         # the requested bound)

@@ -2,8 +2,10 @@
 with exact rational arithmetic: multiplication, inversion, rational powers.
 
 A series is one dense object ndarray of shape (N+1)^n; its nonzero cells
-hold Fractions.  Products shift and add whole arrays.  Rational powers come
-from one graded recurrence, and inversion is its s = -1 case.
+hold Python ints or Fractions, never floats.  Products shift and add whole
+arrays.  Rational powers come from one graded recurrence, and inversion is
+its s = -1 case; inverting a series with integer cells and constant term
++-1 keeps the cells ints.
 
 All supports are non-negative, so every operation here is exact within the
 box (no truncation error leaks back into retained coefficients).
@@ -15,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -45,9 +48,10 @@ def _graded_slabs(nvars, order):
 
 class TruncatedSeries:
     """Coefficients on the box max-norm <= order, as an (order+1)^nvars
-    object array; zero cells may hold 0."""
+    object array of int or Fraction cells; zero cells may hold 0.  The
+    array is not written to after construction."""
 
-    __slots__ = ("nvars", "order", "array")
+    __slots__ = ("nvars", "order", "array", "_coeffs")
 
     def __init__(self, nvars, order, coeffs=None):
         array = np.zeros((order + 1,) * nvars, dtype=object)
@@ -65,12 +69,14 @@ class TruncatedSeries:
         self.nvars = nvars
         self.order = order
         self.array = array
+        self._coeffs = None
 
     @classmethod
     def _of(cls, nvars, order, array):
         """A series on an (order+1)^nvars object array, taken as it is."""
         out = object.__new__(cls)
         out.nvars, out.order, out.array = nvars, order, array
+        out._coeffs = None
         return out
 
     def _like(self, array):
@@ -78,9 +84,18 @@ class TruncatedSeries:
 
     @property
     def coeffs(self):
-        """Read-only view {exponent: Fraction} of the nonzero cells."""
-        cells = np.argwhere(self.array).tolist()
-        return {tuple(m): self.array[tuple(m)] for m in cells}
+        """Read-only view {exponent: int or Fraction} of the nonzero cells,
+        built on first access."""
+        if self._coeffs is None:
+            if self.nvars == 0:
+                c = self.array[()]
+                cells = {(): c} if c else {}
+            else:
+                idx = np.nonzero(self.array)
+                keys = zip(*(axis.tolist() for axis in idx))
+                cells = dict(zip(keys, self.array[idx].tolist()))
+            self._coeffs = types.MappingProxyType(cells)
+        return self._coeffs
 
     @classmethod
     def one(cls, nvars, order):
@@ -187,6 +202,8 @@ class TruncatedSeries:
             raise ValueError("cannot invert a series with zero constant term")
         if c0 == 1:
             return self.pow_rational(-1)
+        if c0 == -1:
+            return -(-self).pow_rational(-1)
         q = self._like(self.array / c0).pow_rational(-1)
         return self._like(q.array / c0)
 
@@ -201,7 +218,8 @@ class TruncatedSeries:
 
         over the support t != 0 of p.  Every q_{m-t} has a lower total
         degree, so the cells are solved one total degree at a time, in
-        vectorized steps.  B drops out at s = -1 (inversion).
+        vectorized steps.  B drops out at s = -1 (inversion); there, if
+        every cell of p is an integer, the recurrence runs on Python ints.
         """
         s = Fraction(s)
         if self.constant_term() != 1:
@@ -210,7 +228,10 @@ class TruncatedSeries:
         supp = supp[supp.any(1)]
         p = self.array[tuple(supp.T)]
         q = np.zeros_like(self.array)
-        q[(0,) * self.nvars] = Fraction(1)
+        integral = s == -1 and all(c.denominator == 1 for c in p)
+        if integral:
+            p = np.array([int(c) for c in p], dtype=object)
+        q[(0,) * self.nvars] = 1 if integral else Fraction(1)
         # cells per step, so that at most 2^16 (cell, t) pairs are held at once
         step = max(1, (1 << 16) // max(1, len(supp)))
         for slab, slab_first in _graded_slabs(self.nvars, self.order):

@@ -39,17 +39,15 @@ def foata_normal_form(g, word):
     return tuple(out)
 
 
-def count_traces(g, content):
-    """Number of distinct trace classes of words using letter i exactly
-    content[i-1] times.
+@lru_cache(maxsize=1)
+def _trace_counter(g):
+    """Memoized count(rem, blocked) for the graph g, shared by every content.
 
     Counts lexicographically-minimal normal forms directly: a word stays
     minimal after appending letter a iff no larger letter sits in a's
-    commuting tail.  That per-letter flag is the whole DP state.
+    commuting tail.  That per-letter flag is the whole DP state, and it
+    does not depend on the starting content.
     """
-    content = tuple(int(c) for c in content)
-    if len(content) != g.n or any(c < 0 for c in content):
-        raise ValueError("content must be n non-negative integers")
     n = g.n
     commute = [
         [False] * (n + 1)
@@ -76,9 +74,16 @@ def count_traces(g, content):
             total += count(tuple(nrem), nblocked)
         return total
 
-    result = count(content, 0)
-    count.cache_clear()
-    return result
+    return count
+
+
+def count_traces(g, content):
+    """Number of distinct trace classes of words using letter i exactly
+    content[i-1] times (one DP memo per graph, see _trace_counter)."""
+    content = tuple(int(c) for c in content)
+    if len(content) != g.n or any(c < 0 for c in content):
+        raise ValueError("content must be n non-negative integers")
+    return _trace_counter(g)(content, 0)
 
 
 def brute_force_count(g, content, limit=10):

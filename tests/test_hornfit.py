@@ -4,7 +4,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indephorn.graph import Graph, make_complete, make_cycle, make_empty, make_path
 from indephorn.hornfit import (
@@ -12,14 +14,16 @@ from indephorn.hornfit import (
     DirectionFit,
     InsufficientDataError,
     _PRIMES,
+    _integer_lattice,
     _rational_reconstruct,
+    _verify_fit,
     check_nonvanishing,
     fit_ratio,
     horn_check,
     horn_check_graph,
 )
 from indephorn.poly import MultiPoly, independence_polynomial
-from indephorn.series import TruncatedSeries, invert
+from indephorn.series import TruncatedSeries, from_poly, invert
 
 
 def inverse_lattice(g, order):
@@ -153,3 +157,118 @@ def test_rational_reconstruct_at_the_bound(p):
     for frac in (Fraction(bound, bound - 1), Fraction(-(bound - 1), bound)):
         a = frac.numerator * pow(frac.denominator, -1, p) % p
         assert _rational_reconstruct(a, p) == frac
+
+
+def test_vanishing_lattice_is_not_called_non_horn():
+    # (1+x1)^2 (1+x2) has binomial cells, zero beyond m = (2, 1), and still
+    # satisfies the two-term relation in both directions
+    one, x1, x2 = MultiPoly.one(2), MultiPoly.var(2, 1), MultiPoly.var(2, 2)
+    lattice = from_poly((one + x1) * (one + x1) * (one + x2), 4)
+    report = horn_check(lattice, 2)
+    assert not report.nonvanishing and report.results == ()
+    assert report.verdict() == (
+        "vanishing coefficient in the box (N=4): the ratio fit does not apply"
+    )
+    cells = _integer_lattice(lattice.array)
+    assert _verify_fit(cells, 1, one + one - x1, one + x1)
+    assert _verify_fit(cells, 2, one - x2, one + x2)
+
+
+# --- the Fraction verifier the integer one replaced, as an oracle ----------
+
+
+def fraction_grid_eval(poly, order):
+    """Evaluate `poly` at every point of {0..order}^nvars (object array)."""
+    nv = poly.nvars
+    shape = (order + 1,) * nv
+    pts = np.arange(order + 1, dtype=object)
+    out = np.zeros(shape, dtype=object)
+    for m, c in poly.terms.items():
+        val = np.full(shape, c, dtype=object)
+        for j, e in enumerate(m):
+            if e:
+                axis = [1] * nv
+                axis[j] = order + 1
+                val = val * (pts**e).reshape(axis)
+        out = out + val
+    return out
+
+
+def oracle_verify_fit(lattice, direction, p_poly, q_poly):
+    order, nv, c = lattice.order, lattice.nvars, lattice.array
+    ax = direction - 1
+    lo = tuple(slice(0, order) if j == ax else slice(None) for j in range(nv))
+    hi = tuple(slice(1, order + 1) if j == ax else slice(None) for j in range(nv))
+    qv = fraction_grid_eval(q_poly, order)[lo]
+    if np.any(qv == 0):
+        return False
+    pv = fraction_grid_eval(p_poly, order)[lo]
+    return bool(np.all(c[hi] * qv == c[lo] * pv))
+
+
+SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=3,
+)
+
+
+@st.composite
+def candidate_fits(draw):
+    """A K_n or empty-graph lattice (optionally scaled by 3/7), a direction
+    and a candidate (P, Q): the known ratio times a common factor k*R, its
+    P + 1 mutant, or a random pair."""
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4 if nvars < 3 else 3))
+    complete = draw(st.booleans())
+    i = draw(st.integers(1, nvars))
+    g = (make_complete if complete else make_empty)(nvars)
+    lattice = inverse_lattice(g, order)
+    scale = draw(st.sampled_from([Fraction(1), Fraction(3, 7)]))
+    if scale != 1:
+        lattice = TruncatedSeries(
+            nvars, order, {m: scale * c for m, c in lattice.coeffs.items()}
+        )
+
+    def poly():
+        return MultiPoly(nvars, {m[:nvars]: c for m, c in draw(SMALL_POLYS).items()})
+
+    one = MultiPoly.one(nvars)
+    if complete:
+        # c_{m+e_i} (m_i + 1) = c_m (|m| + 1) for the multinomial lattice
+        p = sum((MultiPoly.var(nvars, k) for k in range(1, nvars + 1)), one)
+        q = one + MultiPoly.var(nvars, i)
+    else:
+        p = q = one
+    kind = draw(st.sampled_from(["true", "mutant", "random"]))
+    if kind == "random":
+        return lattice, i, poly(), poly(), kind, None
+    factor = poly() * MultiPoly.constant(
+        nvars, draw(st.fractions(min_value=-5, max_value=5).filter(bool))
+    )
+    p, q = factor * p, factor * q
+    if kind == "mutant":
+        p = p + one
+    return lattice, i, p, q, kind, factor
+
+
+@settings(max_examples=80)
+@given(candidate_fits())
+def test_integer_verifier_matches_fraction_oracle(case):
+    lattice, i, p, q, kind, factor = case
+    got = _verify_fit(_integer_lattice(lattice.array), i, p, q)
+    assert got == oracle_verify_fit(lattice, i, p, q)
+    if kind == "mutant":
+        assert not got
+    if kind == "true":
+        assert got == bool(np.all(fraction_grid_eval(factor, lattice.order) != 0))
+
+
+def test_integer_lattice_clears_denominators():
+    lattice = inverse_lattice(make_path(3), 3)
+    scaled = TruncatedSeries(
+        3, 3, {m: Fraction(3, 7) * c for m, c in lattice.coeffs.items()}
+    )
+    cells = _integer_lattice(scaled.array)
+    assert {type(c) for c in cells.flat} == {int}
+    assert np.all(cells == 3 * _integer_lattice(lattice.array))

@@ -284,17 +284,22 @@ def oracle_pow(p, s, nvars, order):
 
 
 @st.composite
-def unit_series(draw, count=1):
+def unit_series(
+    draw,
+    count=1,
+    values=st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    max_order=4,
+):
     """(nvars, order, [{m: c}, ...]): `count` coefficient dicts with constant
-    term 1 on one box in 1-3 variables."""
+    term 1 on one box in 1-3 variables, cells drawn from `values`."""
     nvars = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 4 if nvars < 3 else 2))
+    order = draw(st.integers(0, max_order if nvars < 3 else 2))
     out = []
     for _ in range(count):
         coeffs = draw(
             st.dictionaries(
                 st.tuples(*[st.integers(0, order)] * nvars),
-                st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                values,
                 max_size=5,
             )
         )
@@ -349,3 +354,53 @@ def test_exponent_length_mismatch_and_out_of_box():
     with pytest.raises(ValueError):
         TruncatedSeries(2, 2, {(1,): 1})
     assert TruncatedSeries(1, 2, {(3,): 1, (1,): 2}).coeffs == {(1,): 2}
+
+
+# --- cell types: ints on the integer inversion path, never floats ----------
+
+
+def cell_types(ts):
+    return {type(c) for c in ts.array.flat if c}
+
+
+@settings(max_examples=60)
+@given(
+    unit_series(values=st.integers(-4, 4), max_order=3),
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+)
+def test_integer_inverse_has_int_cells(data, c0):
+    nvars, order, (p,) = data
+    p = {**p, (0,) * nvars: c0}
+    got = TruncatedSeries(nvars, order, p).invert()
+    assert got.coeffs == oracle_invert(p, nvars, order)
+    assert cell_types(got) <= {int}
+
+
+@settings(max_examples=60)
+@given(unit_series(count=2), RATIONAL_S)
+def test_no_operation_makes_float_cells(data, s):
+    nvars, order, (p, q) = data
+    a, b = TruncatedSeries(nvars, order, p), TruncatedSeries(nvars, order, q)
+    inv = a.invert()
+    power = a.pow_rational(s)
+    outs = [a * b, a + b, a.unsigned(), inv, power, inv * b, inv + b]
+    outs += [inv.unsigned(), inv.invert(), inv.pow_rational(s)]
+    for out in outs:
+        assert all(type(c) in (int, Fraction) for c in out.array.flat)
+    if s != -1:
+        assert cell_types(power) <= {Fraction}
+    if any(c.denominator != 1 for c in p.values()):
+        assert cell_types(inv) <= {Fraction}
+    else:
+        assert cell_types(inv) <= {int}
+
+
+def test_coeffs_is_one_read_only_view():
+    ts = invert(independence_polynomial(make_cycle(4)), 2)
+    view = ts.coeffs
+    assert ts.coeffs is view
+    with pytest.raises(TypeError):
+        view[(0, 0, 0, 0)] = 5
+    assert ts.coefficient((0, 0, 0, 0)) == 1
+    assert TruncatedSeries(0, 3, {(): 2}).coeffs == {(): 2}
+    assert TruncatedSeries(0, 3).coeffs == {}
